@@ -134,14 +134,10 @@ let perf () =
           let stripped = Fetch_elf.Image.strip bin.built.image in
           let loaded = Fetch_analysis.Loaded.load stripped in
           let r = Fetch_core.Pipeline.run_loaded loaded in
-          (* fact base over the finished run, so the facts.extract /
-             facts.eval stage spans and facts.* counters land in the
-             snapshot and are gated like any other stage *)
-          (match Fetch_core.Fact_base.of_result r with
-          | Ok _ -> ()
-          | Error e ->
-              Printf.eprintf "fact base failed on %s: %s\n" bin.id e;
-              exit 1);
+          (* lint the finished run as `fetch batch` does by default, so
+             the lint stage spans and lint.findings.* counters land in
+             the snapshot and are gated like any other stage *)
+          ignore (Fetch_core.Lint.run r);
           r)
     in
     (bin.id, r.Fetch_core.Pipeline.starts, report)

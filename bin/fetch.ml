@@ -9,6 +9,7 @@
      unwind     show FDE records and CFI stack-height tables
      handlers   list LSDA call sites and landing pads
      lint       cross-layer consistency check of a FETCH run
+     rules      the linter's FDE rules plus the split-function detector
      adversarial  per-scenario robustness eval over the adversarial corpus
      batch      run the pipeline over many binaries on a domain pool
      serve      long-running analysis daemon with a content-addressed cache *)
@@ -324,13 +325,18 @@ let handlers path =
         (Fetch_dwarf.Eh_frame.all_fdes cies);
       if not !any then print_endline "(no LSDAs: not a C++-style binary)"
 
-(* ---- lint ---- *)
+(* ---- lint / rules ---- *)
 
-let lint path json stats fail_on =
+(* `fetch rules` is the fixed selection of the lint rules that reason
+   about FDEs against the disassembly: the two structural FDE/jump rules
+   plus the Fig. 6b split-function detector. *)
+let rules_selection = [ "jump-mid-insn"; "fde-unreached"; "split-fn-fde" ]
+
+let lint ?rules path json stats fail_on =
   let img = load_image path in
   let work () =
     let r = Fetch_core.Pipeline.run img in
-    Fetch_core.Lint.run r
+    Fetch_core.Lint.run ?rules r
   in
   let findings, report =
     if stats then
@@ -359,69 +365,6 @@ let lint path json stats fail_on =
   | None -> ()
   | Some rep ->
       (* per-rule lint.findings.* counters plus pipeline/lint timings *)
-      print_newline ();
-      print_string (Fetch_obs.Report.text rep));
-  let gate =
-    match fail_on with
-    | "never" -> false
-    | "warning" -> errors + warnings > 0
-    | _ -> errors > 0
-  in
-  if gate then exit 1
-
-(* ---- rules: the declarative fact-base engine ---- *)
-
-let rules_run path json stats show_facts fail_on =
-  let img = load_image path in
-  let work () =
-    let r = Fetch_core.Pipeline.run img in
-    match Fetch_core.Fact_base.of_result r with
-    | Error e ->
-        Printf.eprintf "error: rule program rejected: %s\n" e;
-        exit 2
-    | Ok engine -> (engine, Fetch_core.Fact_base.findings engine)
-  in
-  let (engine, findings), report =
-    if stats then
-      let v, rep = Fetch_obs.Trace.with_run work in
-      (v, Some rep)
-    else (work (), None)
-  in
-  List.iter
-    (fun f ->
-      print_endline
-        (if json then Fetch_check.Finding.to_json f
-         else Fetch_check.Finding.to_string f))
-    findings;
-  let errors = Fetch_check.Finding.count Error findings in
-  let warnings = Fetch_check.Finding.count Warning findings in
-  if not json then begin
-    let store = Fetch_facts.Engine.store engine in
-    let st = Fetch_facts.Engine.stats engine in
-    Printf.printf "%d finding%s: %d error%s, %d warning%s, %d info\n"
-      (List.length findings)
-      (if List.length findings = 1 then "" else "s")
-      errors
-      (if errors = 1 then "" else "s")
-      warnings
-      (if warnings = 1 then "" else "s")
-      (Fetch_check.Finding.count Info findings);
-    Printf.printf
-      "fact base: %d tuples (%d derived), %d strata, %d rule firings\n"
-      (Fetch_facts.Store.total store)
-      st.derived st.strata st.firings
-  end;
-  if show_facts then
-    Fetch_facts.Store.iter_rels (Fetch_facts.Engine.store engine) (fun rel ->
-        List.iter
-          (fun tup ->
-            Printf.printf "%s%s\n"
-              (rel : Fetch_facts.Schema.t).name
-              (Fetch_facts.Fact.to_string tup))
-          (Fetch_facts.Store.to_list (Fetch_facts.Engine.store engine) rel));
-  (match report with
-  | None -> ()
-  | Some rep ->
       print_newline ();
       print_string (Fetch_obs.Report.text rep));
   let gate =
@@ -666,7 +609,9 @@ let handlers_cmd =
     (Cmd.info "handlers" ~doc:"List LSDA call sites and landing pads")
     Term.(const handlers $ path_arg)
 
-let lint_cmd =
+(* `lint` and `rules` share one entry point and one flag set; only the rule
+   selection differs *)
+let lint_term rules =
   let json =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit findings as JSON lines instead of text.")
@@ -684,42 +629,21 @@ let lint_cmd =
              ~doc:"Exit non-zero when findings at or above $(docv) exist \
                    (error, warning or never).")
   in
+  Term.(const (lint ?rules) $ path_arg $ json $ stats $ fail_on)
+
+let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Cross-check a FETCH run's layers and report inconsistencies")
-    Term.(const lint $ path_arg $ json $ stats $ fail_on)
+    (lint_term None)
 
 let rules_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit findings as JSON lines instead of text.")
-  in
-  let stats =
-    Arg.(value & flag
-         & info [ "stats" ]
-             ~doc:"Print facts.* engine counters and stage timings.")
-  in
-  let facts =
-    Arg.(value & flag
-         & info [ "facts" ]
-             ~doc:"Dump every stored tuple (extensional and derived), \
-                   relation by relation.")
-  in
-  let fail_on =
-    Arg.(value
-         & opt (enum [ ("error", "error"); ("warning", "warning"); ("never", "never") ])
-             "error"
-         & info [ "fail-on" ] ~docv:"SEVERITY"
-             ~doc:"Exit non-zero when findings at or above $(docv) exist \
-                   (error, warning or never).")
-  in
   Cmd.v
     (Cmd.info "rules"
        ~doc:
-         "Evaluate the declarative rule program (ported lint rules, \
-          Algorithm 1's reference criterion, the split-function detector) \
-          over a FETCH run's fact base")
-    Term.(const rules_run $ path_arg $ json $ stats $ facts $ fail_on)
+         "Run the linter's FDE rules (jump-mid-insn, fde-unreached) plus the \
+          split-function detector (split-fn-fde) over a FETCH run")
+    (lint_term (Some rules_selection))
 
 let adversarial_cmd =
   let list_scenarios =

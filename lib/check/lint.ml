@@ -25,6 +25,8 @@ type view = {
     window:(int * int * Insn.t) list ->
     Insn.operand ->
     int list option;
+  fde_entry_height : int -> int option;
+  referenced_outside_jumps : entry:int -> int -> bool;
 }
 
 let in_blocks f addr =
@@ -323,7 +325,49 @@ let rule_height_mismatch v emit =
       end)
     v.funcs
 
-let rules =
+(* ---- split-fn-fde: Fig. 6b's FDE error, a split-off fragment with
+   its own FDE.  An out-jump target that carries an FDE, is referenced
+   by nothing but jumps of the function it leaves, and whose FDE's entry
+   CFI height is nonzero and equals the height at the jump site: the
+   parent's frame is still live and never changed hands, so the FDE
+   describes a fragment of [f], not a function.  The nonzero test
+   excludes genuine tail calls (frame gone, both heights 0); rbp-framed
+   fragments have no rsp-based entry height and stay silent. *)
+let rule_split_fn_fde v emit =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (site, target) ->
+          if
+            target <> f.entry
+            && (not (in_blocks f target))
+            && not (Hashtbl.mem seen (f.entry, site, target))
+          then begin
+            Hashtbl.replace seen (f.entry, site, target) ();
+            match v.oracle_height site with
+            | Some h
+              when h <> 0
+                   && v.fde_entry_height target = Some h
+                   && not (v.referenced_outside_jumps ~entry:f.entry target) ->
+                emit
+                  {
+                    Finding.rule = "split-fn-fde";
+                    severity = Finding.Warning;
+                    addr = target;
+                    related = Some site;
+                    message =
+                      Printf.sprintf
+                        "FDE at %#x looks like a split-off fragment of %#x \
+                         (only reached by its jumps, matching CFI height %d)"
+                        target f.entry h;
+                  }
+            | _ -> ()
+          end)
+        f.jumps)
+    v.funcs
+
+let catalogue =
   [
     ("jump-mid-insn", rule_jump_mid_insn);
     ("func-overlap", rule_func_overlap);
@@ -331,19 +375,32 @@ let rules =
     ("fde-unreached", rule_fde_unreached);
     ("start-callconv", rule_start_callconv);
     ("height-mismatch", rule_height_mismatch);
+    ("split-fn-fde", rule_split_fn_fde);
   ]
 
-let counters =
-  List.map (fun (name, _) -> (name, Obs.counter ("lint.findings." ^ name))) rules
+let default_rules =
+  List.filter (( <> ) "split-fn-fde") (List.map fst catalogue)
 
-let run v =
+let counters =
+  List.map
+    (fun (name, _) -> (name, Obs.counter ("lint.findings." ^ name)))
+    catalogue
+
+let run ?(rules = default_rules) v =
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name counters) then
+        invalid_arg ("Lint.run: unknown rule " ^ name))
+    rules;
   Obs.span "lint" (fun () ->
       let acc = ref [] in
       List.iter
         (fun (name, rule) ->
-          Obs.span ("lint." ^ name) (fun () ->
-              rule v (fun f ->
-                  Obs.incr (List.assoc name counters);
-                  acc := f :: !acc)))
-        rules;
+          if List.mem name rules then
+            Obs.span ("lint." ^ name) (fun () ->
+                rule v (fun f ->
+                    Obs.incr (List.assoc name counters);
+                    acc := f :: !acc)))
+        (* the catalogue, not the selection, fixes the run order *)
+        catalogue;
       List.sort Finding.compare !acc)

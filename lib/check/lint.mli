@@ -21,6 +21,12 @@
     - [height-mismatch] — a sound join-based stack-height dataflow (run on
       {!Dataflow.Join_fixpoint}) disagrees with the CFI height oracle
       inside rsp-complete CFI coverage ([Warning]).
+    - [split-fn-fde] — an FDE that describes a split-off fragment of a
+      detected function, not a function (Fig. 6b): the target of an
+      out-jump carries its own FDE, is referenced by nothing but jumps of
+      the function it leaves, and its FDE's entry CFI height is nonzero
+      and equals the height at the jump site ([Warning]).  Outside the
+      default selection of {!run}: only [fetch rules] runs it.
 
     The linter consumes a {!view} — plain data plus closures — so it
     depends on no particular pipeline; [Fetch_core.Lint] adapts a
@@ -54,9 +60,18 @@ type view = {
     Insn.operand ->
     int list option;
       (** jump-table resolution for the height dataflow *)
+  fde_entry_height : int -> int option;
+      (** raw CFI height at the start of the FDE beginning exactly here
+          ([None] when no FDE starts here) — unchecked, since a split-off
+          fragment's FDE starts mid-frame and never passes §V-B *)
+  referenced_outside_jumps : entry:int -> int -> bool;
+      (** is the address referenced by anything other than jumps of
+          [entry]?  (Criterion 3 of Algorithm 1.) *)
 }
 
-(** Run every rule; findings come back sorted (most severe first, then by
-    address).  Instrumented runs get per-rule counters
-    ([lint.findings.<rule>]). *)
-val run : view -> Finding.t list
+(** Run the [rules] selection (default: every rule but [split-fn-fde]);
+    findings come back sorted (most severe first, then by address).
+    Instrumented runs get per-rule counters ([lint.findings.<rule>]) for
+    the whole catalogue.  Raises [Invalid_argument] on a name outside
+    the catalogue. *)
+val run : ?rules:string list -> view -> Finding.t list

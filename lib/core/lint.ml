@@ -23,8 +23,12 @@ let view_of (r : Pipeline.result) =
               })
       r.Pipeline.starts
   in
+  let oracle = loaded.Loaded.oracle in
+  (* only split-fn-fde asks about references: the default rules never
+     pay for the census *)
+  let refs = lazy (Refs.collect loaded res) in
   let complete_cfi = ref [] in
-  Fetch_dwarf.Height_oracle.iter_complete loaded.Loaded.oracle
+  Fetch_dwarf.Height_oracle.iter_complete oracle
     (fun ~lo ~hi -> complete_cfi := (lo, hi) :: !complete_cfi);
   {
     Fetch_check.Lint.insn_at = Loaded.insn_at loaded;
@@ -37,7 +41,7 @@ let view_of (r : Pipeline.result) =
           (f.pc_begin, f.pc_begin + f.pc_range))
         loaded.Loaded.fdes;
     complete_cfi = List.rev !complete_cfi;
-    oracle_height = Fetch_dwarf.Height_oracle.height_at loaded.Loaded.oracle;
+    oracle_height = Fetch_dwarf.Height_oracle.height_at oracle;
     callconv_ok =
       (fun s ->
         Callconv.validate ~noreturn ~cond_noreturn loaded s
@@ -52,10 +56,18 @@ let view_of (r : Pipeline.result) =
         match Jump_table.resolve loaded.Loaded.image ~prior:window op with
         | Some { Jump_table.targets; _ } -> Some targets
         | None -> None);
+    fde_entry_height =
+      (fun a ->
+        if Loaded.fde_starting_at loaded a then
+          Fetch_dwarf.Height_oracle.height_at_unchecked oracle a
+        else None);
+    referenced_outside_jumps =
+      (fun ~entry a ->
+        Refs.referenced_outside_jumps_of (Lazy.force refs) ~entry a);
   }
 
-let run r =
-  let findings = Fetch_check.Lint.run (view_of r) in
+let run ?rules r =
+  let findings = Fetch_check.Lint.run ?rules (view_of r) in
   let module Prov = Fetch_obs.Provenance in
   if Prov.enabled () then
     List.iter

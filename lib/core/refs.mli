@@ -18,11 +18,6 @@ type t
 (** References to a given target address. *)
 val refs_to : t -> int -> kind list
 
-(** Iterate targets with their reference lists (newest first — [collect]
-    and [incr_refresh] prepend, so a remembered length identifies the
-    new prefix).  Feeds the ref relations of {!Fact_base}. *)
-val iter : t -> (int -> kind list -> unit) -> unit
-
 (** Collect all references in the binary given the current disassembly. *)
 val collect : Fetch_analysis.Loaded.t -> Fetch_analysis.Recursive.result -> t
 

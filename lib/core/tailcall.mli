@@ -30,15 +30,10 @@ type height_source =
 
 (** Run Algorithm 1 over the current detection result.  [refs], when
     given, must be the reference census of exactly this result — callers
-    that already collected it pass it in so it is not computed twice.
-    [jump_only_refs] replaces the criterion-3 census query ("is the
-    target referenced only by jumps of [entry]?") — the seam through
-    which the rule engine's derived relation is differentially tested
-    against the imperative census. *)
+    that already collected it pass it in so it is not computed twice. *)
 val run :
   ?heights:height_source ->
   ?refs:Refs.t ->
-  ?jump_only_refs:(entry:int -> int -> bool) ->
   Fetch_analysis.Loaded.t ->
   Fetch_analysis.Recursive.result ->
   outcome

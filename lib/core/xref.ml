@@ -264,7 +264,7 @@ let strategy_name = function Incremental -> "incremental" | Rescan -> "rescan"
     counters and the accept/reject event stream are strategy-invariant
     by construction. *)
 let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
-    ?(max_rounds = 64) ?on_commit loaded ~seeds =
+    ?(max_rounds = 64) loaded ~seeds =
   (* the initial seed disassembly is stage-2 work and reports under its
      own "recursive" span; the "xref" stage below times §IV-E pointer
      detection only, so its mean is the cost of the rounds, not of the
@@ -405,9 +405,6 @@ let detect ?(config = Recursive.safe_config) ?(strategy = Incremental)
                     Recursive.extend ~config loaded ~prior:res ~seeds:[ cand ]
                 | Rescan -> Recursive.run ~config loaded ~seeds:seeds'
               in
-              (match on_commit with
-              | Some f -> f ~cand res'
-              | None -> ());
               Some (seeds', res')
         in
         if Obs.enabled () then

@@ -87,17 +87,11 @@ val strategy_name : strategy -> string
     pointers one at a time until none remains (or [max_rounds] is
     exhausted — announced via the [xref.budget_exhausted] counter and
     ledger event when candidates are still pending); returns the final
-    engine result and the enlarged seed set.
-
-    [on_commit] fires after every accepted pointer with the candidate
-    and the already-extended result — the hook the incremental fact
-    base ({!Fact_base}) uses to fold each commit's delta into the rule
-    engine while detection runs. *)
+    engine result and the enlarged seed set. *)
 val detect :
   ?config:Fetch_analysis.Recursive.config ->
   ?strategy:strategy ->
   ?max_rounds:int ->
-  ?on_commit:(cand:int -> Fetch_analysis.Recursive.result -> unit) ->
   Fetch_analysis.Loaded.t ->
   seeds:int list ->
   Fetch_analysis.Recursive.result * int list

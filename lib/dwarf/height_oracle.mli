@@ -35,11 +35,5 @@ val height_at_unchecked : t -> int -> int option
     completeness test — the ranges where {!height_at} answers. *)
 val iter_complete : t -> (lo:int -> hi:int -> unit) -> unit
 
-(** Enumerate the piecewise-constant height function of every complete
-    entry as [(lo, hi, height)] ranges — exactly the ranges where
-    {!height_at} answers, with the same values.  Feeds the [cfi_row]
-    extensional relation of [Fetch_core.Fact_base]. *)
-val iter_rows : t -> (lo:int -> hi:int -> height:int -> unit) -> unit
-
 (** The FDE beginning exactly at [addr], if any. *)
 val fde_starting_at : t -> int -> Eh_frame.fde option

@@ -38,10 +38,12 @@ type snapshot = {
   histograms : (string * Trace.hist_stats) list;
 }
 
-(* /5: the perf section now also builds the declarative fact base per
-   binary, adding the facts.extract / facts.eval stage spans and the
-   facts.* counters — /4 baselines lack them and must be re-captured. *)
-let schema_current = "fetch-bench-pipeline/5"
+(* /6: the perf section lints each finished run (the default `fetch
+   batch` path) instead of building the retired fact base: the lint /
+   lint.<rule> stage spans and lint.findings.* counters replace the
+   facts.* ones, and lint's height dataflow adds to check.dataflow.* —
+   /5 baselines must be re-captured. *)
+let schema_current = "fetch-bench-pipeline/6"
 
 (* ---- writer ---- *)
 

@@ -10,7 +10,6 @@ let () =
       ("synth", Test_synth.suite);
       ("analysis", Test_analysis.suite);
       ("check", Test_check.suite);
-      ("facts", Test_facts.suite);
       ("core", Test_core.suite);
       ("baselines", Test_baselines.suite);
       ("rop", Test_rop.suite);

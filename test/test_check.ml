@@ -233,6 +233,8 @@ let lint_view ?(funcs = []) ?(fdes = []) ?(complete_cfi = [])
     callconv_ok;
     call_returns = (fun ~site:_ ~target:_ -> true);
     resolve_indirect = (fun ~site:_ ~window:_ _ -> None);
+    fde_entry_height = (fun _ -> None);
+    referenced_outside_jumps = (fun ~entry:_ _ -> false);
   }
 
 let findings_of rule fs = List.filter (fun f -> f.Finding.rule = rule) fs
@@ -473,6 +475,76 @@ let test_lint_clean_corpora () =
       (Fetch_synth.Profile.Synthllvm, Fetch_synth.Profile.O3, 9);
     ]
 
+(* --- split-fn-fde on a real cold-split binary ---
+
+   Analyzed with the FDE-fix stage off, the cold parts survive as
+   separate FDE-seeded functions: the rule must flag only true split
+   parts, and only when selected. *)
+
+let split_result =
+  lazy
+    (let profile =
+       {
+         (Fetch_synth.Profile.make Fetch_synth.Profile.Synthgcc
+            Fetch_synth.Profile.O2)
+         with
+         Fetch_synth.Profile.p_cold_split = 1.0;
+         p_rbp_frame = 0.0;
+       }
+     in
+     let b =
+       Fetch_synth.Link.build_random ~profile ~seed:77
+         { Fetch_synth.Gen.default_spec with n_funcs = 12 }
+     in
+     let r =
+       Fetch_core.Pipeline.run
+         ~config:
+           { Fetch_core.Pipeline.default_config with fix_fde_errors = false }
+         b.image
+     in
+     (b, r))
+
+let split_rule = [ "split-fn-fde" ]
+
+let test_lint_split_fn_fde () =
+  let b, r = Lazy.force split_result in
+  let flagged = Fetch_core.Lint.run ~rules:split_rule r in
+  check Alcotest.bool "fires on the split binary" true (flagged <> []);
+  let parts = Fetch_synth.Truth.part_starts b.truth in
+  List.iter
+    (fun (f : Finding.t) ->
+      if f.rule <> "split-fn-fde" || f.severity <> Finding.Warning then
+        Alcotest.failf "unexpected finding %s" (Finding.to_string f);
+      if not (List.mem f.addr parts) then
+        Alcotest.failf "split-fn-fde flagged %#x: not a true part" f.addr)
+    flagged;
+  check Alcotest.int "outside the default selection" 0
+    (List.length (findings_of "split-fn-fde" (Fetch_core.Lint.run r)))
+
+(* Negative control: one outside reference to a flagged target
+   suppresses exactly that target's findings. *)
+let test_lint_split_fn_fde_negative_control () =
+  let _b, r = Lazy.force split_result in
+  let view = Fetch_core.Lint.view_of r in
+  let before = Lint.run ~rules:split_rule view in
+  let target =
+    match before with
+    | f :: _ -> f.Finding.addr
+    | [] -> Alcotest.fail "no split finding to control"
+  in
+  let after =
+    Lint.run ~rules:split_rule
+      {
+        view with
+        referenced_outside_jumps =
+          (fun ~entry a -> a = target || view.referenced_outside_jumps ~entry a);
+      }
+  in
+  check Alcotest.(list string) "only the referenced target drops out"
+    (List.map Finding.to_string
+       (List.filter (fun f -> f.Finding.addr <> target) before))
+    (List.map Finding.to_string after)
+
 (* Reports must be byte-stable however the findings were produced:
    [compare] is a total order (antisymmetric down to the last field), so
    sorting any permutation yields the same list. *)
@@ -527,4 +599,8 @@ let suite =
     Alcotest.test_case "lint: height-mismatch" `Quick test_lint_height_mismatch;
     Alcotest.test_case "lint: truthful oracle stays quiet" `Quick test_lint_truthful_oracle_quiet;
     Alcotest.test_case "lint: clean corpora, zero errors" `Quick test_lint_clean_corpora;
+    Alcotest.test_case "lint: split-fn-fde on split parts" `Quick
+      test_lint_split_fn_fde;
+    Alcotest.test_case "lint: split-fn-fde negative control" `Quick
+      test_lint_split_fn_fde_negative_control;
   ]

@@ -2,7 +2,9 @@
    (--fail-on) and JSONL output shape.  Runs the real executable
    (argv.(1), wired up by the dune rule) against binaries synthesized
    in-process, so the checks cover argument parsing, serialization and
-   the process exit path that the unit tests bypass.
+   the process exit path that the unit tests bypass.  argv.(2) is the
+   pinned `fetch rules --json` output for the cfi-broken scenario at
+   seed 31.
 
    The exit-code checks are self-consistent — the expected code is
    recomputed from the findings the same invocation printed — plus one
@@ -11,12 +13,12 @@
 
 module Json = Fetch_util.Json
 
-let fetch =
-  if Array.length Sys.argv < 2 then begin
-    prerr_endline "usage: test_cli FETCH_EXE";
+let fetch, rules_cfi_broken_pinned =
+  if Array.length Sys.argv < 3 then begin
+    prerr_endline "usage: test_cli FETCH_EXE RULES_CFI_BROKEN_JSONL";
     exit 2
   end
-  else Sys.argv.(1)
+  else (Sys.argv.(1), Sys.argv.(2))
 
 let failures = ref 0
 
@@ -135,15 +137,50 @@ let write_adversarial id =
       exit 1
   | Some sc -> save (Fetch_synth.Adversary.build sc ~seed:31)
 
+let json_lines tool path =
+  lines (snd (run (Printf.sprintf "%s %s --json --fail-on never" tool path)))
+
+let rule_of line =
+  match Json.parse line with
+  | Error _ -> None
+  | Ok j -> Option.bind (Json.member "rule" j) Json.to_str
+
 (* Findings of one rule, straight from the JSONL stream. *)
 let rule_findings tool path rule =
-  let _, text = run (Printf.sprintf "%s %s --json --fail-on never" tool path) in
+  List.filter (fun line -> rule_of line = Some rule) (json_lines tool path)
+
+(* `rules` is a fixed selection of `lint`'s catalogue: its stream must be
+   `lint`'s stream restricted to the shared rules, plus split-fn-fde
+   (which `lint` does not run), both in the linter's one sort order. *)
+let check_rules_is_lint_selection name path =
+  let rules_out = json_lines "rules" path in
+  let shared =
+    List.filter
+      (fun l ->
+        match rule_of l with
+        | Some ("jump-mid-insn" | "fde-unreached") -> true
+        | _ -> false)
+      (json_lines "lint" path)
+  in
+  check (name ^ ": rules == lint's shared rules + split-fn-fde")
+    (List.filter (fun l -> rule_of l <> Some "split-fn-fde") rules_out = shared)
+
+(* An Info fde-unreached finding claims a partially decoded range: its
+   covered-byte count must be below the range size. *)
+let full_coverage_claims path =
   List.filter
     (fun line ->
       match Json.parse line with
       | Error _ -> false
-      | Ok j -> Option.bind (Json.member "rule" j) Json.to_str = Some rule)
-    (lines text)
+      | Ok j -> (
+          match Option.bind (Json.member "message" j) Json.to_str with
+          | None -> false
+          | Some m -> (
+              try
+                Scanf.sscanf m "FDE covers [%_[^)]) but only %d of %d bytes"
+                  (fun covered size -> covered = size)
+              with Scanf.Scan_failure _ | End_of_file -> false)))
+    (rule_findings "rules" path "fde-unreached")
 
 let () =
   let clean =
@@ -190,29 +227,35 @@ let () =
   let c_lint = check_jsonl "lint" warn in
   check "lint: orphan FDE yields a warning" (c_lint.warnings > 0);
 
-  (* --stats: the report lands on stdout and carries the facts.* meters;
-     the summary line proves the engine actually ran *)
+  (* the rules stream on cfi-broken is pinned line for line *)
+  check "rules: cfi-broken output matches the pinned stream"
+    (json_lines "rules" adv_cfi = lines (read_file rules_cfi_broken_pinned));
+
+  (* fde-overlap duplicates FDEs (same start, different ends): no range
+     may be reported as partially decoded with every byte decoded, and
+     `rules` must stay a selection of `lint` *)
+  let adv_overlap = write_adversarial "fde-overlap" in
+  check "rules: fde-overlap has no 'N of N bytes' findings"
+    (full_coverage_claims adv_overlap = []);
+  List.iter
+    (fun (name, path) -> check_rules_is_lint_selection name path)
+    [ ("clean", clean); ("broken", broken); ("cfi-broken", adv_cfi);
+      ("fde-overlap", adv_overlap) ];
+  Sys.remove adv_overlap;
+
+  (* --stats: the report lands on stdout and carries the split-fn-fde
+     meter, which only the rules selection runs *)
   let code, text = run (Printf.sprintf "rules %s --stats --fail-on never" clean) in
   check "rules: --stats exits 0" (code = 0);
-  let summary =
-    List.find_opt
-      (fun l -> String.length l >= 10 && String.sub l 0 10 = "fact base:")
-      (lines text)
-  in
-  (match summary with
-  | None -> check "rules: --stats prints the fact-base summary" false
-  | Some l ->
-      Scanf.sscanf l "fact base: %d tuples (%d derived), %d strata, %d rule firings"
-        (fun tuples derived strata firings ->
-          check "rules: fact base is populated"
-            (tuples > 0 && derived > 0 && strata > 0 && firings > 0)));
   let contains sub =
     let n = String.length sub and m = String.length text in
     let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
     go 0
   in
-  check "rules: --stats shows facts.* counters" (contains "facts.derived");
-  check "rules: --stats shows the facts.eval span" (contains "facts.eval");
+  check "rules: --stats shows the split-fn-fde counter"
+    (contains "lint.findings.split-fn-fde");
+  check "rules: --stats shows the lint.split-fn-fde span"
+    (contains "lint.split-fn-fde");
 
   (* ---- explain: a garbage address must exit 2 with usage, not crash ---- *)
   List.iter

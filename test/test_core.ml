@@ -608,24 +608,34 @@ let test_xref_extents_deterministic () =
 
 (* The incremental extent map grown across Xref commits must equal the
    from-scratch rebuild after every commit — this is what lets the
-   Incremental strategy skip the per-round O(funcs) rebuild. *)
+   Incremental strategy skip the per-round O(funcs) rebuild.  The
+   commits are replayed one accepted pointer at a time through
+   [Recursive.extend], exactly as the Incremental strategy grows its
+   result. *)
 let test_xref_extents_incremental () =
   let b = Lazy.force built in
   let loaded = An.Loaded.load (Fetch_elf.Image.strip b.image) in
   let seeds = loaded.An.Loaded.fde_starts in
+  let _res, final_seeds = Xref.detect loaded ~seeds in
+  let accepted = List.filter (fun a -> not (List.mem a seeds)) final_seeds in
+  check Alcotest.bool "detection committed candidates" true (accepted <> []);
+  let config = An.Recursive.safe_config in
   let ext = Xref.extents_create () in
-  let commits = ref 0 in
-  let _res, _seeds =
-    Xref.detect loaded ~seeds ~on_commit:(fun ~cand:_ res ->
-        incr commits;
-        let inc = Fetch_util.Interval_map.to_list (Xref.extents_refresh ext res) in
-        let scratch =
-          Fetch_util.Interval_map.to_list (Xref.function_extents res)
-        in
-        if inc <> scratch then
-          Alcotest.failf "commit %d: incremental extents diverge" !commits)
+  let check_commit what res =
+    let inc = Fetch_util.Interval_map.to_list (Xref.extents_refresh ext res) in
+    let scratch = Fetch_util.Interval_map.to_list (Xref.function_extents res) in
+    if inc <> scratch then
+      Alcotest.failf "%s: incremental extents diverge" what
   in
-  check Alcotest.bool "detection committed candidates" true (!commits > 0)
+  let res0 = An.Recursive.run ~config loaded ~seeds in
+  check_commit "initial result" res0;
+  ignore
+    (List.fold_left
+       (fun res cand ->
+         let res' = An.Recursive.extend ~config loaded ~prior:res ~seeds:[ cand ] in
+         check_commit (Printf.sprintf "commit %#x" cand) res';
+         res')
+       res0 accepted)
 
 (* The acceptance property of the whole refactor: the incremental engine
    and the from-scratch rescan are indistinguishable — same final seeds,
